@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! # ppn-baselines
 //!
 //! The thirteen classic online portfolio-selection baselines the paper

@@ -1,8 +1,8 @@
 //! Fixture: malformed allow-comments are diagnostics themselves.
 
-pub fn f(xs: &[f64]) -> f64 {
-    // ppn-check: allow(no-panic)
-    let a = *xs.first().unwrap();
+pub fn f(x: f64) -> bool {
+    // ppn-check: allow(float-eq)
+    let a = x == 1.5;
     // ppn-check: allow(not-a-rule) some reason
     a
 }

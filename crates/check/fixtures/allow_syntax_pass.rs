@@ -1,6 +1,6 @@
 //! Fixture: a well-formed allow-comment suppresses exactly its finding.
 
-pub fn f(xs: &[f64]) -> f64 {
-    // ppn-check: allow(no-panic) invariant: validated non-empty by the caller
-    *xs.first().expect("non-empty")
+pub fn f(x: f64) -> bool {
+    // ppn-check: allow(float-eq) exact sentinel: the caller passes 1.5 verbatim
+    x == 1.5
 }

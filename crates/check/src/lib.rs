@@ -2,12 +2,13 @@
 #![warn(missing_docs)]
 //! # ppn-check
 //!
-//! A tidy-style workspace lint engine enforcing the numerical contracts the
-//! PPN reproduction depends on: panic-free library hot paths, no exact
-//! float equality, deterministic (sorted) output from hash containers,
-//! hardened crate lint headers, documented public APIs, and
+//! A tidy-style workspace lint engine for the numerical contracts the PPN
+//! reproduction depends on that rustc and clippy cannot express: no exact
+//! float equality (including against zero), deterministic (sorted) output
+//! from hash containers, hardened crate lint headers, and
 //! `contract(simplex)`/`contract(finite)` tags backed by `debug_assert`
-//! invariants from `ppn_core::contracts`.
+//! invariants from `ppn_core::contracts`. Panic-freedom and documented
+//! public APIs are compiler lints declared in each crate root instead.
 //!
 //! ## Running
 //!
@@ -444,12 +445,12 @@ mod tests {
     #[test]
     fn allow_parsing_requires_reason() {
         assert_eq!(
-            parse_allow(" ppn-check: allow(no-panic) invariant: shape checked above"),
-            Some(("no-panic".into(), "invariant: shape checked above".into()))
+            parse_allow(" ppn-check: allow(float-eq) exact sentinel set above"),
+            Some(("float-eq".into(), "exact sentinel set above".into()))
         );
         assert_eq!(
-            parse_allow(" ppn-check: allow(no-panic)"),
-            Some(("no-panic".into(), "".into()))
+            parse_allow(" ppn-check: allow(float-eq)"),
+            Some(("float-eq".into(), "".into()))
         );
         assert_eq!(parse_allow(" just a comment"), None);
     }
@@ -457,25 +458,26 @@ mod tests {
     #[test]
     fn allow_comment_suppresses_on_same_and_previous_line() {
         let src = "\
-pub fn a() {
-    // ppn-check: allow(no-panic) statically infallible: len checked above
-    x.unwrap();
-    y.unwrap(); // ppn-check: allow(no-panic) documented invariant
-    z.unwrap();
+pub fn a(x: f64, y: f64, z: f64) -> bool {
+    // ppn-check: allow(float-eq) exact sentinel: written verbatim by the caller
+    let a = x == 1.0;
+    let b = y == 1.0; // ppn-check: allow(float-eq) documented sentinel
+    let c = z == 1.0;
+    a && b && c
 }";
         let f = SourceFile::scan("crates/core/src/a.rs", "ppn-core", Role::Lib, src);
         let ds = lint_file(&f);
-        let unwraps: Vec<_> = ds.iter().filter(|d| d.rule == "no-panic").collect();
-        assert_eq!(unwraps.len(), 1, "{ds:?}");
-        assert_eq!(unwraps[0].line, 5);
+        let eqs: Vec<_> = ds.iter().filter(|d| d.rule == "float-eq").collect();
+        assert_eq!(eqs.len(), 1, "{ds:?}");
+        assert_eq!(eqs[0].line, 5);
     }
 
     #[test]
     fn reasonless_allow_is_a_diagnostic_and_does_not_suppress() {
-        let src = "// ppn-check: allow(no-panic)\npub fn a() { x.unwrap(); }";
+        let src = "// ppn-check: allow(float-eq)\npub fn a(x: f64) -> bool { x == 1.0 }";
         let f = SourceFile::scan("crates/core/src/a.rs", "ppn-core", Role::Lib, src);
         let ds = lint_file(&f);
         assert!(ds.iter().any(|d| d.rule == ALLOW_SYNTAX));
-        assert!(ds.iter().any(|d| d.rule == "no-panic"));
+        assert!(ds.iter().any(|d| d.rule == "float-eq"));
     }
 }

@@ -39,17 +39,6 @@ pub struct Rule {
     pub check: fn(&SourceFile) -> Vec<Diagnostic>,
 }
 
-/// Crates whose library code must be panic-free (rule `no-panic`).
-const PANIC_FREE_CRATES: [&str; 8] = [
-    "ppn-core",
-    "ppn-market",
-    "ppn-baselines",
-    "ppn-tensor",
-    "ppn-serve",
-    "ppn-stream",
-    "ppn-obs",
-    "ppn-trace",
-];
 /// Crates whose library code must avoid exact float equality (`float-eq`).
 const FLOAT_EQ_CRATES: [&str; 8] = [
     "ppn-core",
@@ -61,9 +50,6 @@ const FLOAT_EQ_CRATES: [&str; 8] = [
     "ppn-stream",
     "ppn-trace",
 ];
-/// Crates whose public items must carry doc comments (`pub-doc`).
-const PUB_DOC_CRATES: [&str; 6] =
-    ["ppn-core", "ppn-market", "ppn-serve", "ppn-stream", "ppn-obs", "ppn-trace"];
 /// Crates whose root may soften `forbid(unsafe_code)` to `deny` because they
 /// contain an audited unsafe module (see [`UNSAFE_ALLOWED_FILES`]).
 const DENY_UNSAFE_CRATES: [&str; 1] = ["ppn-tensor"];
@@ -71,12 +57,8 @@ const DENY_UNSAFE_CRATES: [&str; 1] = ["ppn-tensor"];
 /// The full rule set, in reporting order.
 pub fn registry() -> Vec<Rule> {
     vec![
-        Rule {
-            id: "no-panic",
-            description: "no unwrap()/expect()/panic!/todo!/unimplemented! in library code of \
-                          core, market, baselines, tensor, serve, obs, trace",
-            check: check_no_panic,
-        },
+        // Kept although core/market/baselines/tensor deny `clippy::float_cmp`:
+        // that lint exempts comparisons with zero, so it passes `psi == 0.0`.
         Rule {
             id: "float-eq",
             description: "no exact f64 equality (==/!= against float literals) outside the \
@@ -94,12 +76,6 @@ pub fn registry() -> Vec<Rule> {
             description: "crate roots must declare #![forbid(unsafe_code)] and a missing_docs \
                           lint header",
             check: check_lint_header,
-        },
-        Rule {
-            id: "pub-doc",
-            description: "every public item in core, market, serve, obs, and trace carries a \
-                          doc comment",
-            check: check_pub_doc,
         },
         Rule {
             id: "contract",
@@ -141,48 +117,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
 
 fn diag(file: &SourceFile, line0: usize, rule: &'static str, message: String) -> Diagnostic {
     Diagnostic { path: file.path.clone(), line: line0 + 1, rule, message }
-}
-
-// ---------------------------------------------------------------- no-panic
-
-const PANIC_PATTERNS: [(&str, &str); 5] = [
-    (".unwrap()", "unwrap() can panic"),
-    (".expect(", "expect() can panic"),
-    ("panic!", "explicit panic!"),
-    ("todo!", "todo! placeholder"),
-    ("unimplemented!", "unimplemented! placeholder"),
-];
-
-fn check_no_panic(file: &SourceFile) -> Vec<Diagnostic> {
-    if file.role != Role::Lib || !PANIC_FREE_CRATES.contains(&file.crate_name.as_str()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        if file.in_test(i) {
-            continue;
-        }
-        for (pat, why) in PANIC_PATTERNS {
-            if let Some(at) = line.code.find(pat) {
-                // Macro patterns must sit on a word boundary so identifiers
-                // like `not_todo!` or `has_panic!` never match; the method
-                // patterns already anchor on their leading `.`.
-                let before = pat.starts_with('.')
-                    || at == 0
-                    || !is_ident_char(line.code.as_bytes()[at - 1] as char);
-                if before {
-                    out.push(diag(
-                        file,
-                        i,
-                        "no-panic",
-                        format!("{why} in library code (`{}`)", line.code.trim()),
-                    ));
-                    break; // one diagnostic per line is enough
-                }
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------- float-eq
@@ -393,10 +327,6 @@ pub(crate) fn leading_ident(s: &str) -> Option<String> {
         .then_some(ident)
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
 pub(crate) fn has_word(code: &str, word: &str) -> bool {
     let mut from = 0;
     while let Some(p) = code[from..].find(word) {
@@ -440,7 +370,7 @@ fn check_lint_header(file: &SourceFile) -> Vec<Diagnostic> {
                 .into(),
         ));
     }
-    if !head.contains("#![warn(missing_docs)]") && !head.contains("#![deny(missing_docs)]") {
+    if !head.contains("#![warn(missing_docs") && !head.contains("#![deny(missing_docs") {
         out.push(diag(
             file,
             0,
@@ -449,76 +379,6 @@ fn check_lint_header(file: &SourceFile) -> Vec<Diagnostic> {
         ));
     }
     out
-}
-
-// ---------------------------------------------------------------- pub-doc
-
-const PUB_ITEM_KEYWORDS: [&str; 9] =
-    ["fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union"];
-
-fn check_pub_doc(file: &SourceFile) -> Vec<Diagnostic> {
-    if file.role != Role::Lib || !PUB_DOC_CRATES.contains(&file.crate_name.as_str()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, line) in file.lines.iter().enumerate() {
-        if file.in_test(i) {
-            continue;
-        }
-        let t = line.code.trim();
-        let Some(rest) = t.strip_prefix("pub ") else { continue };
-        let is_item = PUB_ITEM_KEYWORDS
-            .iter()
-            .any(|kw| rest.starts_with(kw) && rest[kw.len()..].starts_with([' ', '<']))
-            || rest.starts_with("unsafe ")
-            || is_pub_field(rest);
-        if !is_item {
-            continue;
-        }
-        if !has_doc_above(file, i) {
-            out.push(diag(
-                file,
-                i,
-                "pub-doc",
-                format!("public item missing doc comment (`{}`)", t),
-            ));
-        }
-    }
-    out
-}
-
-/// A struct field `name: Type,` — an identifier immediately followed by `:`
-/// (but not `::`), ending in `,` or nothing.
-fn is_pub_field(rest: &str) -> bool {
-    let Some(name) = leading_ident(rest) else { return false };
-    let after = &rest[name.len()..];
-    after.starts_with(':') && !after.starts_with("::")
-}
-
-/// True when the nearest non-attribute line above `i` is a doc comment.
-fn has_doc_above(file: &SourceFile, i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let code = file.lines[j].code.trim();
-        let comment = file.lines[j].comment.trim_start();
-        if code.starts_with("#[") || code.starts_with("#!") || code.ends_with(")]") {
-            continue; // attribute (possibly multi-line tail)
-        }
-        if code.is_empty() {
-            // Comment-only line: doc comments surface as comments starting
-            // with an extra `/` (`///` → comment text "/ …").
-            if comment.starts_with('/') || comment.starts_with('!') {
-                return true;
-            }
-            if !file.lines[j].comment.is_empty() {
-                continue; // plain comment, keep looking upwards
-            }
-            return false; // blank line
-        }
-        return false; // real code line
-    }
-    false
 }
 
 // ---------------------------------------------------------------- contract
@@ -833,22 +693,6 @@ mod tests {
         assert!(find_float_eq("if n == 3 {").is_none());
         assert!(find_float_eq("if a <= 0.5 {").is_none());
         assert!(find_float_eq("x >= 1.0 && y < 2.0").is_none());
-    }
-
-    #[test]
-    fn no_panic_skips_unwrap_or_variants() {
-        let f = lib("pub fn a() { x.unwrap_or_default(); }\npub fn b() { x.unwrap(); }");
-        let d = check_no_panic(&f);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 2);
-    }
-
-    #[test]
-    fn pub_doc_requires_comment() {
-        let f = lib("/// Documented.\npub fn a() {}\n\npub fn b() {}");
-        let d = check_pub_doc(&f);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 4);
     }
 
     #[test]

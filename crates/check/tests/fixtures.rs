@@ -22,18 +22,6 @@ fn lint_fixture(name: &str, claimed_path: &str, crate_name: &str) -> Vec<&'stati
 }
 
 #[test]
-fn no_panic_fixtures() {
-    assert_eq!(
-        lint_fixture("no_panic_fail.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
-        vec!["no-panic"; 4],
-    );
-    assert_eq!(
-        lint_fixture("no_panic_pass.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
-        Vec::<&str>::new(),
-    );
-}
-
-#[test]
 fn float_eq_fixtures() {
     assert_eq!(
         lint_fixture("float_eq_fail.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
@@ -80,28 +68,6 @@ fn lint_header_fixtures() {
 }
 
 #[test]
-fn pub_doc_fixtures() {
-    assert_eq!(
-        lint_fixture("pub_doc_fail.rs", "crates/core/src/x.rs", "ppn-core"),
-        vec!["pub-doc"; 3],
-    );
-    assert_eq!(
-        lint_fixture("pub_doc_pass.rs", "crates/core/src/x.rs", "ppn-core"),
-        Vec::<&str>::new(),
-    );
-    // Out-of-scope crates are exempt from pub-doc.
-    assert_eq!(
-        lint_fixture("pub_doc_fail.rs", "crates/bench/src/x.rs", "ppn-bench"),
-        Vec::<&str>::new(),
-    );
-    // ppn-obs and ppn-trace joined the pub-doc scope with the tracing work.
-    assert_eq!(
-        lint_fixture("pub_doc_fail.rs", "crates/trace/src/x.rs", "ppn-trace"),
-        vec!["pub-doc"; 3],
-    );
-}
-
-#[test]
 fn contract_fixtures() {
     assert_eq!(
         lint_fixture("contract_fail.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
@@ -128,8 +94,8 @@ fn no_thread_fixtures() {
         lint_fixture("no_thread_fail.rs", "crates/tensor/src/par.rs", "ppn-tensor"),
         Vec::<&str>::new(),
     );
-    // So is the ppn-serve listener/accept loop (other rules — pub-doc —
-    // still apply there, so compare the no-thread findings only)…
+    // So is the ppn-serve listener/accept loop (other rules still apply
+    // there, so compare the no-thread findings only)…
     let server = lint_fixture("no_thread_fail.rs", "crates/serve/src/server.rs", "ppn-serve");
     assert!(!server.contains(&"no-thread"), "listener must be exempt: {server:?}");
     // …but no other ppn-serve module gets the exemption.
@@ -143,7 +109,7 @@ fn allow_syntax_fixtures() {
     // reasonless one does NOT suppress the finding it points at.
     assert_eq!(
         lint_fixture("allow_syntax_fail.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
-        vec!["allow-syntax", "allow-syntax", "no-panic"],
+        vec!["allow-syntax", "allow-syntax", "float-eq"],
     );
     assert_eq!(
         lint_fixture("allow_syntax_pass.rs", "crates/baselines/src/x.rs", "ppn-baselines"),
@@ -153,19 +119,20 @@ fn allow_syntax_fixtures() {
 
 #[test]
 fn shim_crates_are_exempt_by_manifest_name() {
-    // Shim sources freely use unwrap/panic; linting them under their real
-    // (non-ppn) names must produce nothing because the engine never scans
-    // crates whose manifest name falls outside the first-party prefix.
-    let src = fixture("no_panic_fail.rs");
+    // Shim sources freely compare floats exactly; linting them under their
+    // real (non-ppn) names must produce nothing because the engine never
+    // scans crates whose manifest name falls outside the first-party prefix.
+    let src = fixture("float_eq_fail.rs");
     let file = SourceFile::scan("crates/rand/src/x.rs", "rand", Role::Lib, &src);
     assert_eq!(lint_file(&file), Vec::new());
 }
 
 #[test]
-fn bin_targets_are_exempt_from_no_panic() {
-    let src = fixture("no_panic_fail.rs");
-    let file = SourceFile::scan("crates/bench/src/bin/x.rs", "ppn-bench", Role::Bin, &src);
-    assert!(lint_file(&file).iter().all(|d| d.rule != "no-panic"));
+fn bin_targets_are_exempt_from_float_eq() {
+    // ppn-core is in float-eq's scope, so only the Bin role exempts this.
+    let src = fixture("float_eq_fail.rs");
+    let file = SourceFile::scan("crates/core/src/bin/x.rs", "ppn-core", Role::Bin, &src);
+    assert!(lint_file(&file).iter().all(|d| d.rule != "float-eq"));
 }
 
 #[test]

@@ -12,7 +12,7 @@ fn pool() -> Vec<SourceFile> {
         (
             "crates/core/src/a.rs",
             "ppn-core",
-            "/// Doc.\npub fn a(x: &[f64]) -> f64 { x.first().copied().unwrap() }\n",
+            "/// Doc.\npub fn a(x: &[f64]) -> bool { x[0] != 1.0 }\n",
         ),
         (
             "crates/market/src/b.rs",
@@ -67,8 +67,7 @@ proptest! {
         };
         prop_assert_eq!(render(&baseline), render(&permuted));
         // And the pool exercises the engine: it must find the seeded bugs.
-        prop_assert!(baseline.iter().any(|d| d.rule == "no-panic"));
-        prop_assert!(baseline.iter().any(|d| d.rule == "float-eq"));
+        prop_assert_eq!(baseline.iter().filter(|d| d.rule == "float-eq").count(), 2);
         prop_assert!(baseline.iter().any(|d| d.rule == "hash-iter"));
     }
 

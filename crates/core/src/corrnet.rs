@@ -194,7 +194,7 @@ impl CorrNet {
         training: bool,
         rng: &mut R,
     ) -> NodeId {
-        // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
+        #[expect(clippy::expect_used, reason = "documented precondition — see `# Panics` above")]
         let conv4 = self.conv4.as_ref().expect("CorrNet built without Conv4");
         let x = g.leaf(batch.conv_input.clone());
         let h = self.forward_blocks(g, bind, x, training, rng);

@@ -1,5 +1,16 @@
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs, unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! # ppn-core
 //!
 //! The paper's primary contribution: the **cost-sensitive Portfolio Policy

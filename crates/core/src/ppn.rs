@@ -166,11 +166,14 @@ impl PolicyNet {
                     cfg.dropout,
                 );
                 // Cascade LSTM consumes the blocks' channel output per period.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "NetConfig always carries at least one TCCB block"
+                )]
                 let seq = SeqNet::new(
                     &mut store,
                     rng,
                     "seq",
-                    // ppn-check: allow(no-panic) NetConfig always carries at least one TCCB block
                     *cfg.tccb_channels.last().expect("tccb_channels is non-empty"),
                     cfg.lstm_hidden,
                 );

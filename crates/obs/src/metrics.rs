@@ -211,7 +211,10 @@ pub fn counter(name: &str) -> Counter {
     with_registry(|reg| {
         match reg.entry(name.to_string()).or_insert_with(|| Handle::Counter(Counter::default())) {
             Handle::Counter(c) => c.clone(),
-            // ppn-check: allow(no-panic) registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric
+            #[expect(
+                clippy::panic,
+                reason = "registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric"
+            )]
             _ => panic!("metric `{name}` already registered with a different type"),
         }
     })
@@ -221,11 +224,17 @@ fn gauge_with_mode(name: &str, mode: GaugeMode) -> Gauge {
     with_registry(|reg| {
         match reg.entry(name.to_string()).or_insert_with(|| Handle::Gauge(Gauge::with_mode(mode))) {
             Handle::Gauge(g) if g.mode == mode => g.clone(),
+            #[expect(
+                clippy::panic,
+                reason = "level/peak mix-ups on one name corrupt merge semantics; fail fast like a kind mismatch"
+            )]
             Handle::Gauge(g) => {
-                // ppn-check: allow(no-panic) level/peak mix-ups on one name corrupt merge semantics; fail fast like a kind mismatch
                 panic!("gauge `{name}` already registered as {:?}, requested {mode:?}", g.mode)
             }
-            // ppn-check: allow(no-panic) registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric
+            #[expect(
+                clippy::panic,
+                reason = "registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric"
+            )]
             _ => panic!("metric `{name}` already registered with a different type"),
         }
     })
@@ -253,7 +262,10 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
             .or_insert_with(|| Handle::Histogram(Histogram::with_bounds(bounds)))
         {
             Handle::Histogram(h) => h.clone(),
-            // ppn-check: allow(no-panic) registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric
+            #[expect(
+                clippy::panic,
+                reason = "registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric"
+            )]
             _ => panic!("metric `{name}` already registered with a different type"),
         }
     })

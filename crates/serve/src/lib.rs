@@ -1,5 +1,15 @@
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs, unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # ppn-serve
 //!
 //! Micro-batching inference server for trained Portfolio Policy Networks:
@@ -68,7 +78,6 @@
 //! | `/models` | GET | — | [`registry::ModelStatus`] list JSON |
 //! | `/rollback` | POST | [`RollbackRequest`] JSON | `{"model":…,"live_version":…}` |
 //! | `/metrics` | GET | — | Prometheus text exposition (v0.0.4) |
-//! | `/metrics.json` | GET | — | `ppn_obs::MetricsSnapshot` JSON |
 
 /// Micro-batch execution over drained request groups.
 pub mod batcher;

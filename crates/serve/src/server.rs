@@ -538,11 +538,7 @@ fn route_request(
             let body = ppn_obs::metrics_snapshot().to_prometheus();
             respond_ok(conn, ppn_obs::prom::CONTENT_TYPE, &body, keep, now);
         }
-        ("GET", "/metrics.json") => match serde_json::to_string(&ppn_obs::metrics_snapshot()) {
-            Ok(body) => respond_ok(conn, "application/json", &body, keep, now),
-            Err(e) => respond_error(conn, 500, &format!("snapshot failed: {e}"), &[], keep, now),
-        },
-        (m, "/decide" | "/health" | "/models" | "/rollback" | "/metrics" | "/metrics.json") => {
+        (m, "/decide" | "/health" | "/models" | "/rollback" | "/metrics") => {
             respond_error(
                 conn,
                 405,

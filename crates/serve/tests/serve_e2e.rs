@@ -299,12 +299,9 @@ fn health_and_metrics_endpoints_respond() {
     assert!(body.contains("serve_shed"), "shed counter must be exported: {body}");
     assert!(body.contains("serve_connections"), "connection gauge must be exported: {body}");
 
-    // The JSON snapshot stays available at /metrics.json for tooling that
-    // wants the raw structure.
-    let (status, body) = http_request(addr, "GET", "/metrics.json", "").unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("serve.latency_ms"), "JSON keeps dotted names: {body}");
-    assert!(Value::parse(&body).is_ok(), "metrics.json must parse as JSON: {body}");
+    // /metrics is the only exposition path; the old JSON duplicate is gone.
+    let (status, _) = http_request(addr, "GET", "/metrics.json", "").unwrap();
+    assert_eq!(status, 404);
 
     // The histogram must be non-empty after a successful decide.
     assert!(ppn_serve::metrics::latency_ms().count() > 0);

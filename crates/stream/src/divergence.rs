@@ -5,7 +5,8 @@
 //! their portfolio vectors drift apart. Both outputs lie on the `m+1`
 //! simplex, so the per-bar L1 distance is bounded by 2 (total disagreement:
 //! all mass moved to disjoint assets) — thresholds are therefore absolute
-//! and dataset-independent.
+//! and dataset-independent. A candidate that produces non-finite weights
+//! scores infinite divergence, so no threshold can let it through.
 //!
 //! The comparison is deliberately *stateless*: both networks see identical
 //! `(window, prev_action)` inputs with a uniform previous action, so the
@@ -20,7 +21,8 @@ use ppn_market::Dataset;
 /// Divergence between two policy versions over a shadow window.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DivergenceReport {
-    /// Worst per-bar L1 distance between the two action vectors (`[0, 2]`).
+    /// Worst per-bar L1 distance between the two action vectors (`[0, 2]`,
+    /// or infinite for a non-finite candidate).
     pub max_l1: f64,
     /// Mean per-bar L1 distance.
     pub mean_l1: f64,
@@ -35,6 +37,8 @@ pub struct DivergenceReport {
 /// Bars without a full price window are skipped; with no comparable bar at
 /// all the report is all-zero with `windows == 0` (a vacuous pass — callers
 /// gate on `max_l1`, and an empty comparison cannot justify a rollback).
+/// A candidate with non-finite parameters is never run: it scores infinite
+/// divergence with `windows == 0`.
 pub fn shadow_divergence(
     live: &PolicyNet,
     candidate: &PolicyNet,
@@ -44,6 +48,9 @@ pub fn shadow_divergence(
 ) -> DivergenceReport {
     let k = candidate.cfg.window;
     debug_assert_eq!(live.cfg.window, k, "shadow versions must share a window length");
+    if !candidate.store.ids().all(|id| candidate.store.value(id).all_finite()) {
+        return DivergenceReport { max_l1: f64::INFINITY, mean_l1: f64::INFINITY, windows: 0 };
+    }
     let t_end = t_end.min(dataset.relatives.len());
     // Each compared bar t needs a full k-length price window ending at t.
     let first = t_end.saturating_sub(windows).max(k.saturating_sub(1));
@@ -59,11 +66,22 @@ pub fn shadow_divergence(
     let mut max_l1 = 0.0_f64;
     let mut sum_l1 = 0.0_f64;
     for (wa, wb) in a.iter().zip(&b) {
-        let l1: f64 = wa.iter().zip(wb).map(|(x, y)| (x - y).abs()).sum();
+        let l1 = row_l1(wa, wb);
         max_l1 = max_l1.max(l1);
         sum_l1 += l1;
     }
     DivergenceReport { max_l1, mean_l1: sum_l1 / inputs.len() as f64, windows: inputs.len() }
+}
+
+/// L1 distance between two action rows. A non-finite distance counts as
+/// infinite: `f64::max` drops NaN, so a NaN row would otherwise score 0.
+fn row_l1(wa: &[f64], wb: &[f64]) -> f64 {
+    let l1: f64 = wa.iter().zip(wb).map(|(x, y)| (x - y).abs()).sum();
+    if l1.is_finite() {
+        l1
+    } else {
+        f64::INFINITY
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +118,13 @@ mod tests {
         assert!(r.max_l1 > 0.0, "differently-initialised nets must disagree somewhere");
         assert!(r.max_l1 <= 2.0 + 1e-12, "simplex L1 distance is bounded by 2");
         assert!(r.mean_l1 > 0.0 && r.mean_l1 <= r.max_l1);
+    }
+
+    #[test]
+    fn non_finite_rows_score_infinite() {
+        assert_eq!(row_l1(&[1.0, 0.0], &[0.0, 1.0]).to_bits(), 2.0_f64.to_bits());
+        assert!(row_l1(&[f64::NAN, 1.0], &[0.5, 0.5]).is_infinite());
+        assert!(row_l1(&[f64::INFINITY, 0.0], &[0.5, 0.5]).is_infinite());
     }
 
     #[test]

@@ -1,5 +1,15 @@
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs, unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! Streaming online-adaptation pipeline: keep a served policy learning on a
 //! live bar feed, and hot-swap refreshed versions into the model registry
@@ -321,6 +331,22 @@ mod tests {
         assert_eq!(after.version(), 1);
         assert!(std::sync::Arc::ptr_eq(after.net(), before.net()));
         assert_eq!(reg.publish("m", small_net(2, ds.assets())), 3);
+    }
+
+    #[test]
+    fn nan_candidate_is_rolled_back() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let reg = ModelRegistry::new();
+        reg.publish("m", small_net(1, ds.assets()));
+        let mut bad = small_net(1, ds.assets());
+        let ids: Vec<_> = bad.store.ids().collect();
+        for id in ids {
+            bad.store.value_mut(id).data_mut().fill(f64::NAN);
+        }
+        let p = promote(&reg, "m", bad, &ds, ds.split, &StreamConfig::default());
+        assert_eq!(p.outcome, PromotionOutcome::RolledBack { restored: 1 });
+        assert!(p.divergence.unwrap().max_l1.is_infinite());
+        assert_eq!(reg.live_version("m"), Some(1));
     }
 
     #[test]

@@ -133,12 +133,12 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, dilation: Dilation, pad: Padding) 
     assert_eq!(cin, cin2, "conv channels: input {cin} vs kernel {cin2}");
     let (dh, dw) = dilation;
     let (pt, pb, pl, pr) = pad;
+    #[expect(clippy::panic, reason = "documented precondition — see `# Panics` above")]
     let oh = out_dim(h, kh, dh, pt, pb).unwrap_or_else(|| {
-        // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
         panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for H={h} pad=({pt},{pb})")
     });
+    #[expect(clippy::panic, reason = "documented precondition — see `# Panics` above")]
     let ow = out_dim(wid, kw, dw, pl, pr).unwrap_or_else(|| {
-        // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
         panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for W={wid} pad=({pl},{pr})")
     });
     let dims = ConvDims { b, cin, h, wid, cout, kh, kw, dh, dw, pt, pl, oh, ow };

@@ -297,7 +297,7 @@ impl Graph {
     pub fn softmax(&mut self, x: NodeId) -> NodeId {
         let t = self.value(x);
         let shape = t.shape().to_vec();
-        // ppn-check: allow(no-panic) invariant: every graph tensor has rank >= 1
+        #[expect(clippy::expect_used, reason = "invariant: every graph tensor has rank >= 1")]
         let last = *shape.last().expect("softmax needs rank >= 1");
         let rows = t.len() / last;
         let mut out = Storage::uninit(t.len());
@@ -609,7 +609,10 @@ impl Graph {
                 // Per-row: dx = y ⊙ (g − ⟨g, y⟩)
                 let gx = {
                     let y = &self.nodes[i].value;
-                    // ppn-check: allow(no-panic) invariant: softmax output keeps its input's rank >= 1
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: softmax output keeps its input's rank >= 1"
+                    )]
                     let last = *y.shape().last().expect("softmax output has rank >= 1");
                     let rows = y.len() / last;
                     let mut dx = Storage::uninit(y.len());

@@ -4,6 +4,17 @@
 // ppn-check `no-unsafe` rule audits every unsafe line in those two modules.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! # ppn-tensor
 //!
 //! A minimal, dependency-light reverse-mode autodiff engine that serves as

@@ -132,9 +132,9 @@ fn class_index(cap: usize) -> usize {
     (cap / MIN_CAP).trailing_zeros() as usize
 }
 
+#[expect(clippy::expect_used, reason = "size and alignment were validated just above")]
 fn layout_for(cap: usize) -> Layout {
     assert!(cap <= MAX_ELEMS, "storage capacity overflows allocation size");
-    // ppn-check: allow(no-panic) size and alignment were validated just above
     Layout::from_size_align(cap * BYTES, ALIGN).expect("validated storage layout")
 }
 

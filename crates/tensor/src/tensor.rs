@@ -187,8 +187,8 @@ impl Tensor {
             }
             return Tensor { shape: self.shape.clone(), data };
         }
+        #[expect(clippy::panic, reason = "documented precondition — see `# Panics` above")]
         let out_shape = broadcast(&self.shape, &other.shape)
-            // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
             .unwrap_or_else(|| panic!("broadcast {:?} vs {:?}", self.shape, other.shape));
         // Odometer walk with per-dim source strides (0 on broadcast dims):
         // no per-element index vectors, single pass over the output. The

@@ -1,5 +1,15 @@
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs, unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # ppn-trace
 //!
 //! Offline profiler for the `trace.span` JSONL events emitted by `ppn-obs`

@@ -64,8 +64,8 @@ fn spans_metrics_and_step_trace_cover_train_and_backtest() {
     assert_eq!(hist.count, 40);
 
     // The pooled tensor kernels record per-call wall time while metrics are
-    // live: a real train + backtest must have populated both histograms.
-    for name in ["tensor.matmul_ms", "tensor.conv_ms"] {
+    // live: a real train + backtest must have populated every histogram.
+    for name in ["tensor.matmul_ms", "tensor.conv_fwd_ms", "tensor.conv_bwd_ms"] {
         let h = snap.histograms.iter().find(|h| h.name == name);
         let h = h.unwrap_or_else(|| panic!("{name} histogram missing"));
         assert!(h.count > 0, "{name} recorded no kernel calls");

@@ -616,7 +616,18 @@ fn check_no_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
 /// (`shape::with_dims`) instead.
 const HOT_ALLOC_FILES: [(&str, &[&str]); 3] = [
     ("crates/tensor/src/graph.rs", &["backward_with", "propagate", "accumulate"]),
-    ("crates/tensor/src/conv.rs", &["forward_plane", "grad_x_sample", "grad_w_plane"]),
+    (
+        "crates/tensor/src/conv.rs",
+        &[
+            "conv2d_forward",
+            "grad_x",
+            "grad_w",
+            "correlate_direct",
+            "im2col",
+            "im2col_t",
+            "col2im_t",
+        ],
+    ),
     ("crates/tensor/src/tensor.rs", &["matmul_rows"]),
 ];
 

@@ -448,14 +448,15 @@ impl Graph {
             return x;
         }
         let keep = 1.0 - p;
+        // One `rng.gen()` per element, in element order, straight into
+        // arena storage.
         let mask_t = {
             let t = self.value(x);
-            let data = t
-                .data()
-                .iter()
-                .map(|_| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 })
-                .collect();
-            Tensor::from_vec(t.shape(), data)
+            let mut mask = Storage::uninit(t.len());
+            for m in mask.iter_mut() {
+                *m = if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 };
+            }
+            Tensor::from_storage(t.shape(), mask)
         };
         let mask = self.leaf(mask_t);
         self.mul(x, mask)

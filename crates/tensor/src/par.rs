@@ -137,6 +137,34 @@ pub fn par_chunks_mut<T: Send>(
     dispatch(chunks, |(i, chunk)| f(i, chunk));
 }
 
+/// [`par_chunks_mut`] with a second, per-chunk buffer: chunk `i` of `data`
+/// (`chunk_len` elements) comes with chunk `i` of `scratch`
+/// (`scratch_len` elements). Kernels allocate one scratch buffer on the
+/// calling thread and hand each worker its own slice of it.
+///
+/// # Panics
+/// Panics if either chunk length is zero or `scratch` holds fewer chunks
+/// than `data`.
+pub(crate) fn par_chunks_mut_with<T: Send, U: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    scratch: &mut [U],
+    scratch_len: usize,
+    f: impl Fn(usize, &mut [T], &mut [U]) + Sync,
+) {
+    assert!(chunk_len > 0 && scratch_len > 0, "par_chunks_mut_with chunk lengths must be positive");
+    let n = data.len().div_ceil(chunk_len);
+    assert!(scratch.len() >= n * scratch_len, "par_chunks_mut_with: scratch for {n} chunks");
+    let chunks = data.chunks_mut(chunk_len).zip(scratch.chunks_mut(scratch_len));
+    if threads() <= 1 || n <= 1 {
+        for (i, (chunk, s)) in chunks.enumerate() {
+            f(i, chunk, s);
+        }
+        return;
+    }
+    dispatch(chunks.enumerate().collect(), |(i, (chunk, s))| f(i, chunk, s));
+}
+
 /// Evaluates `f(0..n)` across the pool, returning the results in index
 /// order. The index→result mapping is fixed, so the output is independent
 /// of scheduling.
@@ -191,6 +219,28 @@ mod tests {
             });
             for (j, v) in data.iter().enumerate() {
                 assert_eq!(*v, (j / 5) as u32 + 1, "t={t} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_with_pairs_each_chunk_with_its_scratch() {
+        for t in [1, 2, 4] {
+            let mut data = vec![0u32; 37];
+            let mut scratch = vec![0u32; 8 * 3];
+            with_threads(t, || {
+                par_chunks_mut_with(&mut data, 5, &mut scratch, 3, |i, chunk, s| {
+                    s.fill(i as u32 + 1);
+                    for v in chunk.iter_mut() {
+                        *v = s[2];
+                    }
+                });
+            });
+            for (j, v) in data.iter().enumerate() {
+                assert_eq!(*v, (j / 5) as u32 + 1, "t={t} j={j}");
+            }
+            for (j, v) in scratch.iter().enumerate() {
+                assert_eq!(*v, (j / 3) as u32 + 1, "t={t} scratch j={j}");
             }
         }
     }

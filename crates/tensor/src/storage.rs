@@ -46,7 +46,14 @@ const MAX_CLASS: usize = 1 << 22;
 const N_CLASSES: usize = 21;
 
 /// Per-thread cap on bytes parked in the arena before buffers are freed.
-const MAX_HELD_BYTES: usize = 64 << 20;
+///
+/// Sized from the tape of one paper-shaped PPN training step (m = 12,
+/// B = 16): `Graph::reset` parks the whole previous tape at once, and
+/// parked bytes peak at 128 MiB with one worker, 132 MiB with two and
+/// 188 MiB with sixteen (the conv kernels' per-chunk scratch; a call makes
+/// at most one chunk per sample). A smaller cap sends the tail of every
+/// step back to the system allocator.
+const MAX_HELD_BYTES: usize = 256 << 20;
 
 const BYTES: usize = std::mem::size_of::<f64>();
 

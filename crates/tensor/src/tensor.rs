@@ -490,7 +490,14 @@ fn matmul_rows_per_chunk(n: usize, k: usize, m: usize) -> usize {
 /// blocking only reorders *which element* is updated next, never the term
 /// order within an element — so results are bit-identical to the naive
 /// triple loop at any block size, thread count, or SIMD setting.
-fn matmul_rows(a: &[f64], b: &[f64], i0: usize, out_block: &mut [f64], k: usize, m: usize) {
+pub(crate) fn matmul_rows(
+    a: &[f64],
+    b: &[f64],
+    i0: usize,
+    out_block: &mut [f64],
+    k: usize,
+    m: usize,
+) {
     const K_TILE: usize = 64;
     if m == 0 {
         return;
